@@ -21,7 +21,7 @@ from repro.baselines import midas as midas_mod
 from repro.baselines import miracle as miracle_mod
 from repro.baselines.systemds_like import mice_competitor
 from repro.datasets import airquality, flight, inject_missing, retailer
-from repro.datasets.plans import flight_plan, retailer_plan
+from repro.datasets.plans import PLANS
 from repro.mice import TimingLog, run_mice
 from repro.mice.factorized_low import mice_low_factorized
 from repro.models import train_ridge
@@ -29,7 +29,6 @@ from repro.ring import cofactor_ring, cofactor_sql
 from .quality import downstream_quality, split_train_test
 
 DATASETS = {"flight": flight, "retailer": retailer}
-PLANS = {"flight": flight_plan, "retailer": retailer_plan}
 
 
 def _tick() -> float:

@@ -1,11 +1,11 @@
 """MICE Low over *normalized* data (Section 6.3, Figure 6).
 
-Missing values live in the fact table only (as in the paper's setup, so the
-factorized and materialized variants generate identical imputations). The
-global/delta cofactors are computed with factorized folds that push the ring
-SUM past the joins — the wide join is never materialized; predictions for
-the (small) missing partitions enrich just those rows with dimension
-attributes via broadcast joins.
+Algorithm 2 unchanged; only the cofactor ring SUM is evaluated differently:
+a factorized plan pushes it past the joins, so the wide join is never
+materialized. Missing values live in the fact table only (as in the paper's
+setup, so the factorized and materialized variants generate identical
+imputations); predictions for the (small) missing partitions enrich just
+those rows with dimension attributes via broadcast joins.
 
 The comparator is ``mice_low`` over the pre-joined table, whose preprocess
 phase pays the join materialization and whose updates rewrite wide rows.
@@ -16,14 +16,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.ring.schema import AttrSchema
-from repro.ring.triple import Triple, triple_sum
+from repro.ring.triple import Triple
 from .baseline import MiceResult
-from .partition import partition
-from .prep import Prepared, mask_col, RID
-from .step import apply_imputation, attr_seed, fit
+from .low import _mice_low
+# perfbench/spans.py rebinds `fit` in this module by name; the shared loop
+# calls it through repro.mice.low, which is traced as well
+from .step import fit  # noqa: F401
 from .timing import TimingLog
 
 
@@ -43,37 +43,6 @@ class FactorizedPlan:
     categories: dict[str, list]
 
 
-def _prepare_fact(fact: DataFrame, plan: FactorizedPlan,
-                  incomplete: list[str]) -> Prepared:
-    """Initial mean/mode imputation on the fact table only."""
-    schema = plan.schema
-    out = fact
-    for a in plan.fact_attrs:
-        if not schema.is_cat(a):
-            out = out.withColumn(a, F.col(a).cast("double"))
-    out = out.withColumn(RID, F.monotonically_increasing_id())
-    init = {}
-    for a in incomplete:
-        out = out.withColumn(mask_col(a), F.col(a).isNull())
-    cont = [a for a in incomplete if not schema.is_cat(a)]
-    if cont:
-        row = out.agg(*[F.avg(a).alias(a) for a in cont]).collect()[0]
-        init.update({a: float(row[a]) for a in cont})
-    for a in incomplete:
-        if schema.is_cat(a):
-            mode = (
-                out.filter(F.col(a).isNotNull()).groupBy(a).count()
-                .orderBy(F.desc("count"), F.asc(a)).limit(1).collect()
-            )
-            init[a] = mode[0][a]
-    for a, v in init.items():
-        out = out.withColumn(a, F.coalesce(F.col(a), F.lit(v)))
-    dp = out.sparkSession.sparkContext.defaultParallelism
-    out = out.coalesce(dp).localCheckpoint(eager=True)
-    return Prepared(df=out, schema=schema, incomplete=list(incomplete),
-                    init_values=init, categories=plan.categories)
-
-
 def mice_low_factorized(
     fact: DataFrame,
     plan: FactorizedPlan,
@@ -90,67 +59,8 @@ def mice_low_factorized(
         if a not in plan.fact_attrs:
             raise ValueError(f"{a!r} is not a fact attribute — the factorized "
                              "variant imputes fact columns only")
-    timing = timing or TimingLog()
-    with timing.time("preprocess.prepare"):
-        prep = _prepare_fact(fact, plan, incomplete)
-    with timing.time("preprocess.partition"):
-        parts = partition(prep, mode="low")
-
-    def union_cofactor(pieces) -> Triple:
-        dfs = [p for p, c in pieces if c != 0]
-        if not dfs:
-            return Triple.zero(plan.schema)
-        from functools import reduce
-
-        cols = dfs[0].columns
-        return plan.cofactor(
-            reduce(DataFrame.unionByName, [d.select(*cols) for d in dfs])
-        )
-
-    with timing.time("preprocess.global_cofactor"):
-        c_global = union_cofactor([
-            (parts.complete, parts.count_of("complete")),
-            (parts.overflow, parts.count_of("overflow")),
-            *[(parts.single[a], parts.count_of(a)) for a in incomplete],
-        ])
-
-    for it in range(iters):
-        for ai, attr in enumerate(incomplete):
-            mask = F.col(mask_col(attr))
-            with timing.time("iter.delta_cofactor"):
-                delta = union_cofactor([
-                    (parts.single[attr], parts.count_of(attr)),
-                    (parts.overflow.filter(mask), parts.count_of("overflow")),
-                ])
-            c_train = (c_global - delta).prune(tol=0.0)
-            with timing.time("iter.train"):
-                model = fit(c_train, attr, prep, l2=l2)
-            if model is None:
-                continue
-            s = attr_seed(seed, it, ai)
-            with timing.time("iter.update"):
-                fact_cols = parts.single[attr].columns
-                for name, extra in (
-                    ("single", 0), ("overflow", 1), ("none", 2)
-                ):
-                    cnt = parts.count_of(attr if name == "single" else name)
-                    if cnt == 0:
-                        continue
-                    df = parts.single[attr] if name == "single" else getattr(parts, name)
-                    enriched = plan.enrich(df)
-                    imputed = apply_imputation(
-                        enriched, model, attr, prep, s + extra, noise,
-                        checkpoint=False,
-                    ).select(*fact_cols).localCheckpoint(eager=True)
-                    if name == "single":
-                        parts.single[attr] = imputed
-                    else:
-                        setattr(parts, name, imputed)
-            with timing.time("iter.delta_cofactor"):
-                d2 = union_cofactor([
-                    (parts.single[attr], parts.count_of(attr)),
-                    (parts.overflow.filter(mask), parts.count_of("overflow")),
-                ])
-            c_global = c_train + d2
-
-    return MiceResult(df=parts.union_all(), timing=timing, prep=prep)
+    return _mice_low(
+        fact, plan.schema, incomplete, cofactor=plan.cofactor,
+        enrich=plan.enrich, categories=plan.categories,
+        iters=iters, noise=noise, seed=seed, l2=l2, timing=timing,
+    )

@@ -11,15 +11,15 @@ partitions holding rows with the target missing.
 """
 from __future__ import annotations
 
-from functools import reduce
+from functools import partial
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.ring import cofactor_ring
 from repro.ring.schema import AttrSchema
-from repro.ring.triple import Triple
 from .baseline import MiceResult
+from .low import union_cofactor
 from .partition import partition
 from .prep import mask_col, prepare
 from .step import apply_imputation, attr_seed, fit
@@ -39,35 +39,24 @@ def mice_high(
 ) -> MiceResult:
     """Run the HIGH variant (shared complete-part cofactor + partition pruning)."""
     timing = timing or TimingLog()
+    ring = partial(cofactor_ring, schema=schema)
     with timing.time("preprocess.prepare"):
         prep = prepare(df, schema, incomplete)
     with timing.time("preprocess.partition"):
         parts = partition(prep, mode="high")
     with timing.time("preprocess.complete_cofactor"):
-        c_complete = (
-            cofactor_ring(parts.complete, schema)
-            if parts.count_of("complete") != 0
-            else Triple.zero(schema)
+        c_complete = union_cofactor(
+            [(parts.complete, parts.count_of("complete"))], ring, schema
         )
 
     for it in range(iters):
         for ai, attr in enumerate(incomplete):
-            mask = F.col(mask_col(attr))
             with timing.time("iter.cofactor"):
-                pieces = []
-                if parts.count_of(attr) != 0:
-                    pieces.append(parts.single[attr])
-                if parts.count_of("overflow") != 0:
-                    pieces.append(parts.overflow.filter(~mask))
-                union = (
-                    reduce(DataFrame.unionByName,
-                           [p.select(*schema.names) for p in pieces])
-                    if pieces else None
-                )
-                c_train = c_complete + (
-                    cofactor_ring(union, schema) if union is not None
-                    else Triple.zero(schema)
-                )
+                c_train = c_complete + union_cofactor([
+                    (parts.single[attr], parts.count_of(attr)),
+                    (parts.overflow.filter(~F.col(mask_col(attr))),
+                     parts.count_of("overflow")),
+                ], ring, schema)
             with timing.time("iter.train"):
                 model = fit(c_train, attr, prep, l2=l2)
             if model is None:

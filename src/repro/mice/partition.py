@@ -47,10 +47,7 @@ class Partitions:
 
     def unpersist(self) -> None:
         for df in [self.complete, self.overflow, self.none, *self.single.values()]:
-            try:
-                df.unpersist()
-            except Exception:
-                pass
+            df.unpersist()
 
     def union_all(self) -> DataFrame:
         dfs = [self.complete, *self.single.values(), self.overflow, self.none]

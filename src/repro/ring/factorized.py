@@ -33,7 +33,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from .schema import AttrSchema
-from .triple import Triple, lift_block, lift_grouped, triple_sum
+from .triple import Triple, lift_grouped, triple_sum
 
 
 def lift_dim(pdf: pd.DataFrame, schema: AttrSchema, attrs: Sequence[str],

@@ -9,12 +9,31 @@ from repro.mice import mice_low
 from repro.mice.factorized_low import mice_low_factorized
 from repro.ring import cofactor_ring
 
+FL_INCOMPLETE = ["arr_delay", "taxi_out", "diverted"]
+#: Spark jobs of one noise-free round on ``fl_masked``, as measured when the
+#: gate was added; a change may lower them, never raise them
+LOW_ROUND_JOBS = 41
+FACTORIZED_ROUND_JOBS = 64
+
 
 @pytest.fixture(scope="module")
 def fl(spark):
     ds = flight.generate(sf=0.0004, seed=21)
     return dict(ds=ds, plan=flight_plan(spark, ds),
                 fact=spark.createDataFrame(ds.tables["flights"]))
+
+
+@pytest.fixture(scope="module")
+def fl_masked(spark, fl):
+    """Flight with three fact columns 30 % MCAR, so the overflow and
+    all-missing partitions are non-empty; ``row_key`` identifies a row."""
+    ds = fl["ds"]
+    fact = ds.tables["flights"]
+    fact = fact.assign(row_key=np.arange(len(fact)))
+    masked, _ = inject_missing(fact, FL_INCOMPLETE, 0.3, "MCAR", seed=5)
+    joined = ds.join(dict(ds.tables, flights=masked))
+    return dict(rows=len(masked), fact=spark.createDataFrame(masked),
+                joined=spark.createDataFrame(joined))
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +103,24 @@ class TestFactorizedMice:
             rtol=1e-5, atol=1e-3,
         )
 
+    def test_flight_matches_materialized_mice(self, fl, fl_masked):
+        """Overflow and all-missing partitions, LDA predictions through
+        ``enrich``, and two iterations: factorized Low ≡ prejoined Low."""
+        kw = dict(iters=2, noise=False)
+        out_f = mice_low_factorized(fl_masked["fact"], fl["plan"],
+                                    FL_INCOMPLETE, **kw).df.toPandas()
+        out_m = mice_low(fl_masked["joined"], fl["ds"].schema,
+                         FL_INCOMPLETE, **kw).df.toPandas()
+        assert len(out_f) == len(out_m) == fl_masked["rows"]
+        out_f = out_f.set_index("row_key").sort_index()
+        out_m = out_m.set_index("row_key").sort_index()
+        assert out_f.index.is_unique
+        assert out_f.index.equals(out_m.index)
+        for a in ("arr_delay", "taxi_out"):
+            np.testing.assert_allclose(out_f[a].to_numpy(), out_m[a].to_numpy(),
+                                       rtol=0, atol=1e-6)
+        assert (out_f["diverted"].to_numpy() == out_m["diverted"].to_numpy()).all()
+
     def test_imputation_beats_mean(self, spark, rt):
         ds = rt["ds"]
         fact_pdf = ds.tables["inventory"]
@@ -104,3 +141,31 @@ class TestFactorizedMice:
     def test_non_fact_attribute_rejected(self, spark, rt):
         with pytest.raises(ValueError, match="fact attribute"):
             mice_low_factorized(rt["fact"], rt["plan"], ["population"])
+
+
+def _round_jobs(spark, group: str, run) -> int:
+    """Spark jobs that ``run()`` issues, counted under its own job group."""
+    sc = spark.sparkContext
+    sc.setJobGroup(group, group)
+    try:
+        run()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    return len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+class TestJobCounts:
+    """Job count of one Low round, normalized and prejoined: job counts do
+    not depend on machine noise, so they gate changes to the loop."""
+
+    def test_low_round(self, spark, fl, fl_masked):
+        jobs = _round_jobs(spark, "test-jobs-low", lambda: mice_low(
+            fl_masked["joined"], fl["ds"].schema, FL_INCOMPLETE, noise=False))
+        assert jobs <= LOW_ROUND_JOBS, jobs
+
+    def test_factorized_low_round(self, spark, fl, fl_masked):
+        jobs = _round_jobs(spark, "test-jobs-factorized",
+                           lambda: mice_low_factorized(
+                               fl_masked["fact"], fl["plan"], FL_INCOMPLETE,
+                               noise=False))
+        assert jobs <= FACTORIZED_ROUND_JOBS, jobs

@@ -70,6 +70,14 @@ class TestPrepare:
         with pytest.raises(ValueError, match="not in schema"):
             prepare(masked["sdf"], ds.schema, ["nope"])
 
+    def test_all_missing_continuous_rejected(self, spark, masked):
+        """An incomplete continuous column with no observed value fails
+        loudly instead of being imputed with a made-up constant."""
+        ds = masked["ds"]
+        pdf = masked["pdf"].assign(distance=np.nan)
+        with pytest.raises(ValueError, match="no observed values"):
+            prepare(spark.createDataFrame(pdf), ds.schema, ds.incomplete)
+
     def test_undeclared_nulls_rejected(self, masked):
         """Columns with nulls must be declared incomplete (loud guard)."""
         ds = masked["ds"]
